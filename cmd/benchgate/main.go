@@ -1,7 +1,8 @@
 // Command benchgate compares a freshly measured BENCH_engine.json
 // against the committed baseline and fails when any benchmark row
-// regressed beyond the tolerated ratio — the regression gate behind
-// scripts/bench.sh -gate and the CI bench-smoke step.
+// regressed beyond the tolerated ratio, or when a baseline row was not
+// measured at all — the regression gate behind scripts/bench.sh -gate
+// and the CI bench-smoke step.
 //
 // Usage:
 //
@@ -10,8 +11,10 @@
 // Both thresholds are fractional (0.15 = +15%); setting one to 0
 // disables that dimension (CI gates allocs only — wall-clock is too
 // noisy on shared runners). Exit status 1 means at least one row
-// regressed; every offending row is printed with its baseline, new
-// value, and ratio.
+// regressed or went missing; every offending row is printed (a
+// regression with its baseline, new value, and ratio). A benchmark
+// that is renamed or deleted must drop its row from the committed
+// baseline in the same change.
 package main
 
 import (
@@ -51,7 +54,25 @@ func main() {
 		fatal(err)
 	}
 
-	bad := 0
+	notes, failures := gate(base, fresh, *nsTol, *allocTol)
+	for _, n := range notes {
+		fmt.Println(n)
+	}
+	for _, f := range failures {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	if len(failures) > 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark row(s) regressed beyond tolerance or went unmeasured\n", len(failures))
+		os.Exit(1)
+	}
+	fmt.Println("benchgate: all rows within tolerance")
+}
+
+// gate compares every section of fresh against base. It returns
+// informational notes (fresh rows with no baseline yet) and one
+// failure line per regression beyond tolerance and per baseline row
+// the fresh run did not measure.
+func gate(base, fresh map[string][]map[string]any, nsTol, allocTol float64) (notes, failures []string) {
 	for _, sec := range sections {
 		baseRows := index(base[sec.name], sec.key)
 		for _, row := range fresh[sec.name] {
@@ -60,38 +81,41 @@ func main() {
 			if !ok {
 				// A new benchmark has no baseline yet; it starts gating
 				// once bench.sh refreshes the committed JSON.
-				fmt.Printf("benchgate: %s/%s: no baseline row, skipping\n", sec.name, id)
+				notes = append(notes, fmt.Sprintf("benchgate: %s/%s: no baseline row, skipping", sec.name, id))
 				continue
 			}
-			bad += check(sec.name, id, "ns_per_op", b, row, *nsTol)
-			bad += check(sec.name, id, "allocs_per_op", b, row, *allocTol)
+			for _, f := range []string{
+				check(sec.name, id, "ns_per_op", b, row, nsTol),
+				check(sec.name, id, "allocs_per_op", b, row, allocTol),
+			} {
+				if f != "" {
+					failures = append(failures, f)
+				}
+			}
 		}
 		for _, id := range missing(baseRows, fresh[sec.name], sec.key) {
-			fmt.Printf("benchgate: %s/%s: baseline row not measured\n", sec.name, id)
+			failures = append(failures, fmt.Sprintf("benchgate: MISSING %s/%s: baseline row not measured", sec.name, id))
 		}
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark row(s) regressed beyond tolerance\n", bad)
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: all rows within tolerance")
+	return notes, failures
 }
 
-func check(section, id, field string, base, fresh map[string]any, tol float64) int {
+// check returns the failure line for one field of a row that regressed
+// beyond tol, or "" when it did not.
+func check(section, id, field string, base, fresh map[string]any, tol float64) string {
 	if tol <= 0 {
-		return 0
+		return ""
 	}
 	bv, bok := num(base[field])
 	nv, nok := num(fresh[field])
 	if !bok || !nok || bv <= 0 {
-		return 0
+		return ""
 	}
 	if ratio := nv / bv; ratio > 1+tol {
-		fmt.Fprintf(os.Stderr, "benchgate: REGRESSION %s/%s %s: %.0f -> %.0f (%.2fx > %.2fx allowed)\n",
+		return fmt.Sprintf("benchgate: REGRESSION %s/%s %s: %.0f -> %.0f (%.2fx > %.2fx allowed)",
 			section, id, field, bv, nv, ratio, 1+tol)
-		return 1
 	}
-	return 0
+	return ""
 }
 
 func load(path string) (map[string][]map[string]any, error) {

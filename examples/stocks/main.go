@@ -36,6 +36,8 @@ func main() {
 	fmt.Printf("%s: %d constituent stocks × %d trading days\n", etf.Name, len(clients), clients[0].Len())
 
 	// Server side: listen for exactly len(clients) TCP connections.
+	// Both ends speak lossless codec v1 (the zero WireOpts).
+	var wire fl.WireOpts
 	addrCh := make(chan string, 1)
 	type listenResult struct {
 		tr  *fl.TCPTransport
@@ -43,7 +45,7 @@ func main() {
 	}
 	resCh := make(chan listenResult, 1)
 	go func() {
-		tr, err := fl.ListenTCPWithAddr("127.0.0.1:0", len(clients), 30*time.Second, addrCh)
+		tr, err := fl.ListenTCPWire("127.0.0.1:0", len(clients), 30*time.Second, addrCh, wire)
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
@@ -53,7 +55,7 @@ func main() {
 	stop := make(chan struct{})
 	for i, s := range clients {
 		go func(i int, s *timeseries.Series) {
-			if err := fl.ServeTCP(addr, core.NewClientNode(s, int64(i)), stop); err != nil {
+			if err := fl.ServeTCPWire(addr, core.NewClientNode(s, int64(i)), stop, wire); err != nil {
 				log.Printf("client %d: %v", i, err)
 			}
 		}(i, s)

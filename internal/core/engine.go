@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"fedforecaster/internal/bayesopt"
@@ -74,13 +75,12 @@ type EngineConfig struct {
 	// call (transient faults are retried with exponential backoff +
 	// jitter; dead clients fail fast).
 	MaxRetries int
-	// Wire selects the wire format Run's in-process transport speaks
-	// (see fl.ParseWireOpts for the flag syntax). The zero value is the
-	// legacy v0 path — normalization-only message passing with
-	// PayloadSize accounting — which keeps pre-codec results
-	// bit-identical. Version 1 round-trips every message through the
-	// binary codec, so Result.Comms reports exact frame bytes and any
-	// configured quantization tier is really applied to the payloads.
+	// Wire selects the wire tier Run's in-process transport speaks
+	// (see fl.ParseWireOpts for the flag syntax). Every message is
+	// round-tripped through the codec v1 binary format, so Result.Comms
+	// reports exact frame bytes and any configured quantization tier is
+	// really applied to the payloads. The zero value is lossless v1,
+	// which reproduces the golden results bit for bit.
 	Wire fl.WireOpts
 	// MinClientFraction ∈ (0, 1] enables partial participation: a round
 	// succeeds when at least ⌈fraction·N⌉ clients respond, and every
@@ -580,6 +580,9 @@ func runPhaseOptimize(rc *roundContext) error {
 	if !ok {
 		return errors.New("core: optimization produced no evaluations")
 	}
+	if err := requireFiniteLoss(result.History); err != nil {
+		return err
+	}
 	result.BestConfig = best
 	result.BestValidLoss = bestLoss
 	result.Iterations = len(result.History)
@@ -596,8 +599,26 @@ func runPhaseFinalFit(rc *roundContext) error {
 	if err != nil {
 		return err
 	}
+	if math.IsNaN(losses[0]) || math.IsInf(losses[0], 0) {
+		return fmt.Errorf("core: final fit of %s produced non-finite test MSE %v", best, losses[0])
+	}
 	rc.result.TestMSE = losses[0]
 	return nil
+}
+
+// requireFiniteLoss fails a run whose every evaluated global loss is
+// non-finite (NaN or ±Inf — e.g. every survivor's response corrupted):
+// no incumbent is defensible then, and the optimizer's penalty value
+// must not masquerade as a validation loss.
+func requireFiniteLoss(history []IterationRecord) error {
+	losses := make([]float64, len(history))
+	for i, h := range history {
+		if !math.IsNaN(h.GlobalLoss) && !math.IsInf(h.GlobalLoss, 0) {
+			return nil
+		}
+		losses[i] = h.GlobalLoss
+	}
+	return fmt.Errorf("core: no finite validation loss survived: all %d evaluated losses are non-finite %v", len(losses), losses)
 }
 
 // prepareEval runs the one-time eval/prepare round: ship the frozen

@@ -20,7 +20,7 @@ func chaosServer(clients []*timeseries.Series, seed int64) (*fl.Server, *fl.Chao
 	for i, s := range clients {
 		nodes[i] = NewClientNode(s, seed+int64(i)*101)
 	}
-	chaos := fl.NewChaos(fl.NewInProc(nodes), seed)
+	chaos := fl.NewChaos(fl.NewInProcWire(nodes, fl.WireOpts{}), seed)
 	return fl.NewServer(chaos), chaos
 }
 
@@ -197,6 +197,21 @@ func TestEngineRunFullParticipationStillAborts(t *testing.T) {
 	}
 }
 
+// TestEngineRunFailsWhenNoFiniteLossSurvives: a client whose every
+// response is corrupted (NaN scalars) poisons each Equation-1
+// aggregate. The run must fail with an error naming the non-finite
+// losses instead of returning a garbage incumbent with a nil error.
+func TestEngineRunFailsWhenNoFiniteLossSurvives(t *testing.T) {
+	cfg := resilientConfig(5, 0.5, 0)
+	res, _, err := runUnderChaos(t, cfg, map[int]fl.ClientFaults{1: {CorruptProb: 1}})
+	if err == nil {
+		t.Fatalf("run succeeded with best valid loss %v and test MSE %v", res.BestValidLoss, res.TestMSE)
+	}
+	if !strings.Contains(err.Error(), "non-finite") || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("err = %v, want it to name the non-finite (NaN) losses", err)
+	}
+}
+
 // TestEngineBatchedRunSurvivesClientDeath extends the acceptance
 // scenario to round protocol v2: with BatchSize 4, 1 of 4 clients dies
 // mid-optimization under quorum 0.5 and the batched run still
@@ -259,7 +274,7 @@ func TestEngineBatchedHealsMissedPrepare(t *testing.T) {
 		}
 		nodes[i] = n
 	}
-	srv := fl.NewServer(fl.NewInProc(nodes))
+	srv := fl.NewServer(fl.NewInProcWire(nodes, fl.WireOpts{}))
 	defer srv.Close()
 
 	cfg := resilientConfig(5, 0.5, 0)

@@ -1,12 +1,9 @@
 package codec
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -18,11 +15,12 @@ import (
 // table). A frame is:
 //
 //	byte 0      version (0x01)
-//	byte 1      flags: bit0 = body DEFLATE-compressed against Dict();
-//	            bits 2..1 = quantization mode the encoder applied
+//	byte 1      flags: bits 2..1 = quantization mode the encoder
+//	            applied; every other bit must be clear (bit0 was the
+//	            retired DEFLATE tier, and decoders reject it)
 //	bytes 2...  body
 //
-// The body, after decompression when flagged:
+// The body:
 //
 //	str(Kind)
 //	uvarint nScalars; nScalars × { str(key), varfloat(value) }   sorted by key
@@ -80,8 +78,8 @@ import (
 // requires the frame to be fully consumed.
 
 // Version1 identifies the binary wire format this package encodes.
-// Version 0 is reserved for the legacy gob stream spoken directly by
-// the transports; it never appears in a codec frame.
+// Version 0 was the retired gob stream; it never appears in a codec
+// frame, and transports reject a peer that proposes it.
 const Version1 = 1
 
 // MaxVersion is the newest wire version this build can speak — the
@@ -95,7 +93,7 @@ type QuantMode uint8
 
 const (
 	// QuantNone keeps every float vector dense: the lossless tier,
-	// golden-pinned bit-identical to gob-era results.
+	// golden-pinned bit-identical to the engine's recorded results.
 	QuantNone QuantMode = 0
 	// QuantInt8 maps eligible tensors onto 255 uniform levels with a
 	// per-tensor offset/scale header: 1 byte per element, error ≤
@@ -106,22 +104,16 @@ const (
 	QuantFloat16 QuantMode = 2
 )
 
-// Options select the encoder's lossy and compression tiers. The zero
-// value is the lossless uncompressed tier.
+// Options select the encoder's lossy tier. The zero value is the
+// lossless tier.
 type Options struct {
 	Quant QuantMode
-	// Compress DEFLATE-compresses the body against the protocol preset
-	// dictionary when that makes the frame smaller; frames that would
-	// grow ship uncompressed with the flag clear, so enabling it never
-	// costs bytes.
-	Compress bool
 }
 
 // flags byte layout.
 const (
-	flagCompressed = 0x01
-	quantShift     = 1
-	quantFlagMask  = 0x06
+	quantShift    = 1
+	quantFlagMask = 0x06
 )
 
 // vector tags.
@@ -131,19 +123,12 @@ const (
 	tagFloat16 = 0x02
 )
 
-// maxDecodedBody bounds decompression so a malicious tiny frame
-// cannot balloon into an arbitrarily large allocation (64 MiB is two
-// orders of magnitude above any real protocol message).
-const maxDecodedBody = 64 << 20
-
 // ErrMalformed wraps every decode failure, so transports can
 // distinguish codec corruption from I/O errors with errors.Is.
 var ErrMalformed = errors.New("codec: malformed frame")
 
 // Encode serializes the message as a version-1 frame. Encoding cannot
-// fail: every Message value has a representation, and compression
-// errors (which the bytes.Buffer sink cannot produce) fall back to
-// the uncompressed form.
+// fail: every Message value has a representation.
 func Encode(m Message, opts Options) []byte {
 	return AppendEncode(nil, m, opts)
 }
@@ -151,21 +136,12 @@ func Encode(m Message, opts Options) []byte {
 // AppendEncode appends the encoded frame to dst and returns the
 // extended slice, for callers reusing buffers.
 func AppendEncode(dst []byte, m Message, opts Options) []byte {
-	body := appendBody(nil, m, opts.Quant)
-	flags := byte(opts.Quant) << quantShift
-	if opts.Compress {
-		if z, ok := deflate(body); ok && len(z) < len(body) {
-			dst = append(dst, Version1, flags|flagCompressed)
-			return append(dst, z...)
-		}
-	}
-	dst = append(dst, Version1, flags)
-	return append(dst, body...)
+	dst = append(dst, Version1, byte(opts.Quant)<<quantShift)
+	return appendBody(dst, m, opts.Quant)
 }
 
 // EncodedSize returns the exact frame length Encode would produce —
-// the number the communication accounting bills for wire-version ≥ 1
-// transports.
+// the number the communication accounting bills.
 func EncodedSize(m Message, opts Options) int {
 	return len(AppendEncode(nil, m, opts))
 }
@@ -353,27 +329,10 @@ func appendVector(b []byte, v []float64, q QuantMode) []byte {
 	}
 }
 
-// deflate compresses the body against the preset dictionary. The
-// second return is false on the (theoretically unreachable) writer
-// error path, making the fallback explicit rather than silent.
-func deflate(body []byte) ([]byte, bool) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriterDict(&buf, flate.BestCompression, Dict())
-	if err != nil {
-		return nil, false
-	}
-	if _, err := w.Write(body); err != nil {
-		return nil, false
-	}
-	if err := w.Close(); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
 // Decode parses a version-1 frame. It returns the message in
-// canonical (Normalize) form: payload maps are always non-nil and
-// zero-length vectors decode as nil values under their key. Malformed
+// canonical form: payload maps are always non-nil and zero-length
+// vectors and int slices decode as nil values under their key (the
+// key survives; only the nil-vs-empty distinction is erased). Malformed
 // input — truncation, unknown version or flags, overlong lengths,
 // trailing bytes — returns an error wrapping ErrMalformed; Decode
 // never panics (FuzzCodecDecode enforces this).
@@ -385,28 +344,13 @@ func Decode(data []byte) (Message, error) {
 		return Message{}, fmt.Errorf("%w: unknown wire version %d", ErrMalformed, data[0])
 	}
 	flags := data[1]
-	if flags&^(flagCompressed|quantFlagMask) != 0 {
+	if flags&^quantFlagMask != 0 {
 		return Message{}, fmt.Errorf("%w: unknown flag bits 0x%02x", ErrMalformed, flags)
 	}
 	if q := QuantMode(flags >> quantShift & 0x3); q > QuantFloat16 {
 		return Message{}, fmt.Errorf("%w: unknown quant mode %d", ErrMalformed, q)
 	}
-	body := data[2:]
-	if flags&flagCompressed != 0 {
-		fr := flate.NewReaderDict(bytes.NewReader(body), Dict())
-		expanded, err := io.ReadAll(io.LimitReader(fr, maxDecodedBody+1))
-		if cerr := fr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return Message{}, fmt.Errorf("%w: decompress: %v", ErrMalformed, err)
-		}
-		if len(expanded) > maxDecodedBody {
-			return Message{}, fmt.Errorf("%w: body exceeds %d bytes", ErrMalformed, maxDecodedBody)
-		}
-		body = expanded
-	}
-	d := decoder{buf: body, lossy: flags&quantFlagMask != 0}
+	d := decoder{buf: data[2:], lossy: flags&quantFlagMask != 0}
 	m, err := d.message()
 	if err != nil {
 		return Message{}, err
@@ -572,6 +516,9 @@ func (d *decoder) vector() ([]float64, error) {
 		if d.remaining() < n {
 			return nil, fmt.Errorf("%w: truncated int8 tensor", ErrMalformed)
 		}
+		if n == 0 {
+			return nil, nil // canonical form, as for dense
+		}
 		levels := d.buf[d.pos : d.pos+n]
 		d.pos += n
 		return dequantInt8(offset, scale, levels), nil
@@ -579,6 +526,9 @@ func (d *decoder) vector() ([]float64, error) {
 		n, err := d.count(2)
 		if err != nil {
 			return nil, err
+		}
+		if n == 0 {
+			return nil, nil // canonical form, as for dense
 		}
 		halves := make([]uint16, n)
 		for i := range halves {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -37,6 +36,32 @@ func equalMessages(a, b Message) bool {
 		}
 	}
 	return reflect.DeepEqual(a.Strings, b.Strings) && reflect.DeepEqual(a.Ints, b.Ints)
+}
+
+// canonical returns a copy of m in the form Decode produces: nil
+// payload maps become empty maps, and zero-length slice values become
+// nil under their (surviving) key.
+func canonical(m Message) Message {
+	out := NewMessage(m.Kind)
+	for k, v := range m.Scalars {
+		out.Scalars[k] = v
+	}
+	for k, v := range m.Floats {
+		if len(v) == 0 {
+			v = nil
+		}
+		out.Floats[k] = v
+	}
+	for k, v := range m.Strings {
+		out.Strings[k] = v
+	}
+	for k, v := range m.Ints {
+		if len(v) == 0 {
+			v = nil
+		}
+		out.Ints[k] = v
+	}
+	return out
 }
 
 // checkLossyMessage verifies a decoded message against the original
@@ -78,13 +103,7 @@ func checkLossyMessage(want, got Message, q QuantMode) error {
 
 // allOptions enumerates every encoder configuration the wire can ship.
 func allOptions() []Options {
-	var opts []Options
-	for _, q := range []QuantMode{QuantNone, QuantInt8, QuantFloat16} {
-		for _, z := range []bool{false, true} {
-			opts = append(opts, Options{Quant: q, Compress: z})
-		}
-	}
-	return opts
+	return []Options{{Quant: QuantNone}, {Quant: QuantInt8}, {Quant: QuantFloat16}}
 }
 
 // fixtureMessages is the shared corpus of protocol-shaped and
@@ -129,7 +148,7 @@ func fixtureMessages() []Message {
 	odd.Ints["keep"] = nil
 	odd.Ints["neg"] = []int{-1, 0, math.MaxInt64, math.MinInt64}
 	odd.Floats["short"] = []float64{math.Inf(1)} // below quantMinLen and non-finite: always dense
-	odd.Floats["empty"] = []float64{}            // Normalize collapses to nil
+	odd.Floats["empty"] = []float64{}            // decodes as nil
 
 	// A structure-search evaluation round: graph-spec categoricals per
 	// candidate plus rolling-origin CV settings riding the splits.
@@ -147,20 +166,16 @@ func fixtureMessages() []Message {
 	return []Message{zero, rangeMsg, config, tensors, odd, graph}
 }
 
-// TestLosslessRoundTripIdentity: decode(encode(m)) == Normalize(m) for
-// the lossless tier, compressed or not, across the fixture corpus.
+// TestLosslessRoundTripIdentity: decode(encode(m)) == canonical(m) for
+// the lossless tier across the fixture corpus.
 func TestLosslessRoundTripIdentity(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		for fi, m := range fixtureMessages() {
-			got, err := Decode(Encode(m, Options{Compress: compress}))
-			if err != nil {
-				t.Fatalf("fixture %d compress=%v: %v", fi, compress, err)
-			}
-			want := m
-			want.Normalize()
-			if !equalMessages(want, got) {
-				t.Errorf("fixture %d compress=%v: round trip diverged\nwant %#v\ngot  %#v", fi, compress, want, got)
-			}
+	for fi, m := range fixtureMessages() {
+		got, err := Decode(Encode(m, Options{}))
+		if err != nil {
+			t.Fatalf("fixture %d: %v", fi, err)
+		}
+		if want := canonical(m); !equalMessages(want, got) {
+			t.Errorf("fixture %d: round trip diverged\nwant %#v\ngot  %#v", fi, want, got)
 		}
 	}
 }
@@ -176,9 +191,7 @@ func TestQuantizedRoundTripShape(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fixture %d opts=%+v: %v", fi, opts, err)
 			}
-			want := m
-			want.Normalize()
-			if err := checkLossyMessage(want, got, opts.Quant); err != nil {
+			if err := checkLossyMessage(canonical(m), got, opts.Quant); err != nil {
 				t.Errorf("fixture %d opts=%+v: %v", fi, opts, err)
 			}
 		}
@@ -243,34 +256,6 @@ func TestAppendEncodeAppends(t *testing.T) {
 	}
 }
 
-// TestCompressionFallsBackWhenBigger: incompressible bodies ship
-// uncompressed (flag clear), so Compress never grows a frame.
-func TestCompressionFallsBackWhenBigger(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := NewMessage("fit/final")
-	noise := make([]float64, 64)
-	for i := range noise {
-		noise[i] = rng.NormFloat64()
-	}
-	m.Floats["weights"] = noise
-	plain := Encode(m, Options{})
-	z := Encode(m, Options{Compress: true})
-	if len(z) > len(plain) {
-		t.Errorf("compressed frame larger: %d > %d", len(z), len(plain))
-	}
-	// A repetitive message must actually compress. Protocol vocabulary
-	// is already interned to table references, so use strings outside
-	// the table — the case flate still exists for.
-	cfg := NewMessage("eval/config")
-	for i := 0; i < 8; i++ {
-		k := string(rune('0'+i)) + ":custom_model_name"
-		cfg.Strings[k] = "GradientBoostedForecaster"
-	}
-	if zl, pl := EncodedSize(cfg, Options{Compress: true}), EncodedSize(cfg, Options{}); zl >= pl {
-		t.Errorf("repetitive eval/config did not compress: %d >= %d", zl, pl)
-	}
-}
-
 // TestDecodeMalformed: corrupt frames error (wrapping ErrMalformed)
 // rather than panicking or over-allocating.
 func TestDecodeMalformed(t *testing.T) {
@@ -285,7 +270,7 @@ func TestDecodeMalformed(t *testing.T) {
 		"truncated body":   valid[:len(valid)-3],
 		"trailing bytes":   append(append([]byte{}, valid...), 0x00),
 		"huge count":       {Version1, 0x00, 0x01, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
-		"bad compressed":   {Version1, flagCompressed, 0xde, 0xad, 0xbe, 0xef},
+		"retired deflate":  append([]byte{Version1, 0x01}, valid[2:]...),
 		"unterminated len": {Version1, 0x00, 0xFF},
 	}
 	for name, data := range cases {
@@ -301,7 +286,7 @@ func TestDecodeMalformed(t *testing.T) {
 }
 
 // TestDecodeIsCanonical: whatever the encoder options, the decoded
-// message is already in Normalize's canonical form.
+// message is already in canonical form.
 func TestDecodeIsCanonical(t *testing.T) {
 	for _, opts := range allOptions() {
 		for fi, m := range fixtureMessages() {
@@ -309,11 +294,23 @@ func TestDecodeIsCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := got
-			got.Normalize()
-			if !equalMessages(before, got) {
+			if !equalMessages(canonical(got), got) {
 				t.Errorf("fixture %d opts=%+v: decode output not canonical", fi, opts)
 			}
+		}
+	}
+	// Frames no encoder emits (tensors below the quantization floor
+	// ship dense) but a peer may send: zero-length quantized tensors.
+	for name, frame := range map[string][]byte{
+		"empty int8":    {Version1, 0x02, 0x00, 0x00, 0x01, 0x00, tagInt8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+		"empty float16": {Version1, 0x04, 0x00, 0x00, 0x01, 0x00, tagFloat16, 0x00, 0x00, 0x00},
+	} {
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !equalMessages(canonical(got), got) {
+			t.Errorf("%s: decode output not canonical: %#v", name, got)
 		}
 	}
 }

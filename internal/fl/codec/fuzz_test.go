@@ -51,7 +51,7 @@ func (r *fuzzReader) str() string {
 func buildFuzzMessage(data []byte) (Message, Options) {
 	r := &fuzzReader{data: data}
 	mode := r.byte()
-	opts := Options{Compress: mode&1 != 0, Quant: QuantMode(mode >> 1 % 3)}
+	opts := Options{Quant: QuantMode(mode % 3)}
 	m := NewMessage(r.str())
 	for i := int(r.byte()) % 4; i > 0; i-- {
 		m.Scalars[r.str()] = r.float()
@@ -77,7 +77,7 @@ func buildFuzzMessage(data []byte) (Message, Options) {
 }
 
 // FuzzMessageRoundTrip: for any message derivable from fuzz bytes,
-// the lossless tier round-trips to identity after Normalize(), and
+// the lossless tier round-trips to its canonical form, and
 // every lossy tier round-trips to the same shape within the documented
 // error bounds.
 func FuzzMessageRoundTrip(f *testing.F) {
@@ -87,12 +87,10 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add([]byte{0x05, 0x00, 0x01, 0x13})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, opts := buildFuzzMessage(data)
-		want := m
-		want.Normalize()
+		want := canonical(m)
 
-		// Lossless identity, with the fuzz-selected compression choice.
-		lossless := Options{Compress: opts.Compress}
-		got, err := Decode(Encode(m, lossless))
+		// Lossless identity.
+		got, err := Decode(Encode(m, Options{}))
 		if err != nil {
 			t.Fatalf("lossless round trip failed: %v", err)
 		}
@@ -111,6 +109,17 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	})
 }
 
+// retiredDeflateFlag is the flags bit the removed DEFLATE tier set.
+// Decode must reject it; the fuzz seeds keep one frame carrying it so
+// the rejection stays exercised.
+const retiredDeflateFlag = 0x01
+
+// nextQuant returns opts with the next quantization tier, so each
+// golden frame seeds the fuzzer under two tiers.
+func nextQuant(opts Options) Options {
+	return Options{Quant: (opts.Quant + 1) % 3}
+}
+
 // FuzzCodecDecode: Decode must never panic, whatever the bytes; and
 // whenever it succeeds, the decoded message must re-encode to a frame
 // that decodes back to an equal message (decode output is always
@@ -118,12 +127,12 @@ func FuzzMessageRoundTrip(f *testing.F) {
 func FuzzCodecDecode(f *testing.F) {
 	for _, c := range goldenCases() {
 		f.Add(Encode(c.msg, c.opts))
-		f.Add(Encode(c.msg, Options{Quant: c.opts.Quant, Compress: true}))
+		f.Add(Encode(c.msg, nextQuant(c.opts)))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version1})
 	f.Add([]byte{Version1, 0x00})
-	f.Add([]byte{Version1, flagCompressed, 0x03, 0x00})
+	f.Add([]byte{Version1, retiredDeflateFlag, 0x03, 0x00})
 	f.Add([]byte{Version1, 0x06})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -166,10 +175,11 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for _, c := range goldenCases() {
 		decodeSeeds = append(decodeSeeds,
 			Encode(c.msg, c.opts),
-			Encode(c.msg, Options{Quant: c.opts.Quant, Compress: true}))
+			Encode(c.msg, nextQuant(c.opts)))
 	}
 	decodeSeeds = append(decodeSeeds,
 		[]byte{Version1, 0x00},
+		[]byte{Version1, retiredDeflateFlag, 0x03, 0x00},
 		[]byte{Version1, 0x02, 0x00, 0x01, 0x01, 'w', 0x01, 0x08},
 	)
 	write("FuzzCodecDecode", decodeSeeds)

@@ -15,9 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden wire-format fi
 // goldenCases pins the v1 byte format: any change to the encoding —
 // section order, varint scheme, vector tags, quantization layout —
 // fails these comparisons loudly and demands a version bump, not a
-// fixture refresh. Compressed frames are deliberately not pinned:
-// DEFLATE output is not guaranteed stable across Go releases, so the
-// compressed tier is covered by round-trip equality instead.
+// fixture refresh.
 func goldenCases() []struct {
 	name string
 	msg  Message
@@ -99,8 +97,7 @@ func TestGoldenDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: pinned frame no longer decodes: %v", c.name, err)
 		}
-		want := c.msg
-		want.Normalize()
+		want := canonical(c.msg)
 		if c.opts.Quant == QuantNone {
 			if !equalMessages(want, got) {
 				t.Errorf("%s: pinned frame decoded to a different message\nwant %#v\ngot  %#v", c.name, want, got)

@@ -4,11 +4,12 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"fedforecaster/internal/fl/codec"
 )
 
 // rawClient answers with zero-value Messages whose payload maps are
-// nil — the shape a handler that never touches a map produces, and the
-// shape gob's nil-map elision creates on the wire.
+// nil — the shape a handler that never touches a map produces.
 type rawClient struct{}
 
 func (rawClient) Properties(req Message) (Message, error) {
@@ -17,29 +18,11 @@ func (rawClient) Properties(req Message) (Message, error) {
 func (rawClient) Fit(req Message) (Message, error)      { return Message{Kind: "raw"}, nil }
 func (rawClient) Evaluate(req Message) (Message, error) { return Message{Kind: "raw"}, nil }
 
-// TestPayloadSizeArithmetic pins the estimate: key lengths plus 8 bytes
-// per numeric element plus string bytes.
-func TestPayloadSizeArithmetic(t *testing.T) {
-	m := NewMessage("kind") // 4
-	m.Scalars["ab"] = 1     // 2 + 8
-	m.Floats["xyz"] = []float64{1, 2, 3}
-	m.Strings["s"] = "hello" // 1 + 5
-	m.Ints["ii"] = []int{7}  // 2 + 8
-	want := int64(4 + (2 + 8) + (3 + 24) + (1 + 5) + (2 + 8))
-	if got := m.PayloadSize(); got != want {
-		t.Errorf("PayloadSize = %d, want %d", got, want)
-	}
-	var zero Message
-	if got := zero.PayloadSize(); got != 0 {
-		t.Errorf("zero message PayloadSize = %d, want 0", got)
-	}
-}
-
 // TestServerStatsAccounting: rounds, calls, and byte totals accumulate
 // across Broadcast/CallSubset/Call; Sub scopes a window.
 func TestServerStatsAccounting(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}}
-	srv := NewServer(NewInProc(clients))
+	srv := NewServer(NewInProcWire(clients, WireOpts{}))
 	defer srv.Close()
 
 	req := NewMessage("fit/x")
@@ -52,10 +35,10 @@ func TestServerStatsAccounting(t *testing.T) {
 	if st.Rounds != 1 || st.Calls != 3 {
 		t.Errorf("after broadcast: %+v, want 1 round / 3 calls", st)
 	}
-	wantDown := 3 * req.PayloadSize()
+	wantDown := 3 * int64(codec.EncodedSize(req, codec.Options{}))
 	var wantUp int64
 	for _, r := range resps {
-		wantUp += r.PayloadSize()
+		wantUp += int64(codec.EncodedSize(r, codec.Options{}))
 	}
 	if st.BytesDown != wantDown || st.BytesUp != wantUp {
 		t.Errorf("bytes = %d down / %d up, want %d / %d", st.BytesDown, st.BytesUp, wantDown, wantUp)
@@ -85,7 +68,7 @@ func TestServerStatsAccounting(t *testing.T) {
 // TestQuorumRoundAccounted: quorum rounds charge only the survivors.
 func TestQuorumRoundAccounted(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1, fail: true}, &echoClient{id: 2}}
-	srv := NewServer(NewInProc(clients))
+	srv := NewServer(NewInProcWire(clients, WireOpts{}))
 	defer srv.Close()
 	msgs, ids, err := srv.BroadcastQuorum(NewMessage("fit/x"), QuorumConfig{MinFraction: 0.5})
 	if err != nil {
@@ -106,7 +89,7 @@ func TestQuorumRoundAccounted(t *testing.T) {
 // the TCP transport, so server code never branches on transport.
 func TestNormalizeCrossTransportEquivalence(t *testing.T) {
 	// In-process path.
-	inproc := NewServer(NewInProc([]Client{rawClient{}}))
+	inproc := NewServer(NewInProcWire([]Client{rawClient{}}, WireOpts{}))
 	defer inproc.Close()
 	inResp, err := inproc.Call(0, Message{Kind: "props"}) // nil-map request too
 	if err != nil {
@@ -121,12 +104,12 @@ func TestNormalizeCrossTransportEquivalence(t *testing.T) {
 	}
 	resCh := make(chan listenResult, 1)
 	go func() {
-		ln, err := ListenTCPWithAddr("127.0.0.1:0", 1, 5*time.Second, addrCh)
+		ln, err := ListenTCPWire("127.0.0.1:0", 1, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{ln, err}
 	}()
 	addr := <-addrCh
 	stop := make(chan struct{})
-	go func() { _ = ServeTCP(addr, rawClient{}, stop) }()
+	go func() { _ = ServeTCPWire(addr, rawClient{}, stop, WireOpts{}) }()
 	res := <-resCh
 	if res.err != nil {
 		t.Fatal(res.err)
@@ -148,17 +131,5 @@ func TestNormalizeCrossTransportEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(inResp, tcpResp) {
 		t.Errorf("transports disagree:\ninproc = %#v\ntcp    = %#v", inResp, tcpResp)
-	}
-}
-
-// TestNormalizeIdempotent: normalizing a fully-populated message leaves
-// it untouched.
-func TestNormalizeIdempotent(t *testing.T) {
-	m := NewMessage("k")
-	m.Scalars["a"] = 1
-	before := m
-	m.Normalize()
-	if !reflect.DeepEqual(before, m) {
-		t.Errorf("Normalize mutated a canonical message: %+v vs %+v", before, m)
 	}
 }

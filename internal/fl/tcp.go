@@ -2,7 +2,6 @@ package fl
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -14,19 +13,16 @@ import (
 )
 
 // TCPTransport is the distributed deployment path: clients dial the
-// server (as in Flower) and serve requests over the negotiated wire
-// format.
+// server (as in Flower) and serve requests as length-prefixed codec v1
+// frames.
 //
-// Version negotiation is one byte each way at connection setup: the
-// client sends the highest wire version it can speak, the server
-// replies with min(its configured version, the proposal), and both
-// ends then speak the chosen version for the connection's lifetime.
-// Version 0 is a gob stream of envelopes (the original format, so a
-// v0-configured fleet is byte-compatible with pre-codec peers modulo
-// the two-byte handshake); version 1 is length-prefixed codec frames.
-// Quantization and compression are encoder-side tiers, not negotiated:
-// each end encodes under its own WireOpts and any v1 decoder reads any
-// tier.
+// Connection setup is a one-byte version handshake each way: the
+// client proposes the highest wire version it can speak and the server
+// answers with the version it speaks, v1. A peer proposing version 0
+// (the retired gob stream) is rejected with an error naming wire v0 on
+// both ends; a higher proposal settles on v1. Quantization is an
+// encoder-side tier, not negotiated: each end encodes under its own
+// WireOpts and any v1 decoder reads any tier.
 //
 // The connection table is guarded by mu: Call, NumClients, Close and
 // SetCallTimeout may run concurrently (quorum broadcasts race with
@@ -44,24 +40,16 @@ type TCPTransport struct {
 
 type tcpConn struct {
 	conn net.Conn
-	// vers is the wire version negotiated for this connection, or −1
-	// before negotiation. The server side negotiates lazily, on the
-	// first Call: the handshake read is then bounded by the per-call
-	// deadline, so a client that connects but never speaks (hung peer)
-	// is accepted at listen time and trips ErrCallTimeout at call time —
-	// the same observable behaviour as the pre-negotiation protocol.
-	// guarded by mu.
-	vers int
-	// enc/dec are the gob pair, populated only when vers == 0.
-	// guarded by mu.
-	enc *gob.Encoder
-	dec *gob.Decoder // guarded by mu
-	mu  sync.Mutex
-	// dead marks a connection whose stream failed. Neither format is
-	// mid-message recoverable (a gob stream is unframed; a torn codec
-	// frame desynchronizes the length prefixes), so the connection is
-	// closed and every later call fails fast with ErrClientDead.
-	// guarded by mu.
+	mu   sync.Mutex
+	// negotiated reports whether the version handshake has completed.
+	// The server side negotiates lazily, on the first Call: the
+	// handshake read is then bounded by the per-call deadline, so a
+	// client that connects but never speaks (hung peer) is accepted at
+	// listen time and trips ErrCallTimeout at call time. guarded by mu.
+	negotiated bool
+	// dead marks a connection whose stream failed. A torn codec frame
+	// desynchronizes the length prefixes, so the connection is closed
+	// and every later call fails fast with ErrClientDead. guarded by mu.
 	dead bool
 }
 
@@ -73,24 +61,17 @@ func (c *tcpConn) markDeadLocked() {
 	c.conn.Close()
 }
 
-// envelope frames a message with an error string for the v0 (gob)
-// return path.
-type envelope struct {
-	Msg Message
-	Err string
-}
-
-// maxFrame bounds a v1 frame read so a corrupt or hostile length
+// maxFrame bounds a frame read so a corrupt or hostile length
 // prefix cannot induce an arbitrarily large allocation.
 const maxFrame = 64 << 20
 
-// v1 response status bytes.
+// Response status bytes.
 const (
 	statusOK  = 0
 	statusErr = 1
 )
 
-// writeFrame sends one length-prefixed v1 frame as a single write.
+// writeFrame sends one length-prefixed frame as a single write.
 func writeFrame(conn net.Conn, payload []byte) error {
 	buf := make([]byte, 4+len(payload))
 	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
@@ -99,7 +80,7 @@ func writeFrame(conn net.Conn, payload []byte) error {
 	return err
 }
 
-// readFrame receives one length-prefixed v1 frame.
+// readFrame receives one length-prefixed frame.
 func readFrame(conn net.Conn) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
@@ -116,23 +97,12 @@ func readFrame(conn net.Conn) ([]byte, error) {
 	return payload, nil
 }
 
-// ListenTCP starts a server transport that accepts exactly
+// ListenTCPWire starts a server transport that accepts exactly
 // expectClients connections on addr (use "127.0.0.1:0" for an
-// ephemeral port) within the timeout, speaking wire v0 (gob).
-func ListenTCP(addr string, expectClients int, timeout time.Duration) (*TCPTransport, error) {
-	return ListenTCPWire(addr, expectClients, timeout, nil, WireOpts{})
-}
-
-// ListenTCPWithAddr is ListenTCP but reports the bound address on
-// addrCh before blocking for connections — needed when clients in the
-// same process must learn an ephemeral port.
-func ListenTCPWithAddr(addr string, expectClients int, timeout time.Duration, addrCh chan<- string) (*TCPTransport, error) {
-	return ListenTCPWire(addr, expectClients, timeout, addrCh, WireOpts{})
-}
-
-// ListenTCPWire is ListenTCPWithAddr with an explicit wire format: the
-// server negotiates each connection down to at most wire.Version and
-// encodes its requests under the given tiers.
+// ephemeral port) within the timeout, encoding its requests under the
+// given wire tier. A non-nil addrCh receives the bound address before
+// the accept loop blocks — needed when clients in the same process
+// must learn an ephemeral port.
 func ListenTCPWire(addr string, expectClients int, timeout time.Duration, addrCh chan<- string, wire WireOpts) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -160,33 +130,33 @@ func ListenTCPWire(addr string, expectClients int, timeout time.Duration, addrCh
 			ln.Close()
 			return nil, fmt.Errorf("fl: accept (have %d/%d clients): %w", len(conns), expectClients, err)
 		}
-		conns = append(conns, &tcpConn{conn: conn, vers: -1})
+		conns = append(conns, &tcpConn{conn: conn})
 	}
 	return &TCPTransport{listener: ln, wire: wire, conns: conns}, nil
 }
 
+// errWireV0 marks a handshake with a peer speaking the retired gob
+// wire format (version 0).
+var errWireV0 = errors.New("fl: peer speaks retired wire v0 (gob); this build speaks only codec v1")
+
 // negotiateLocked performs the server side of the version handshake on
-// first use: read the client's proposal byte, reply min(configured,
-// proposal), and set up the connection for the chosen version. Callers
-// hold c.mu and have already bounded the connection with the per-call
-// deadline.
-func (c *tcpConn) negotiateLocked(configured int) error {
+// first use: read the client's proposal byte and answer v1. The answer
+// goes out even to a v0 proposal, so an older gob-era client fails its
+// own handshake instead of waiting; the server then rejects the
+// connection. Callers hold c.mu and have already bounded the
+// connection with the per-call deadline.
+func (c *tcpConn) negotiateLocked() error {
 	var b [1]byte
 	if _, err := io.ReadFull(c.conn, b[:]); err != nil {
 		return fmt.Errorf("read proposal: %w", err)
 	}
-	vers := configured
-	if p := int(b[0]); p < vers {
-		vers = p
-	}
-	if _, err := c.conn.Write([]byte{byte(vers)}); err != nil {
+	if _, err := c.conn.Write([]byte{codec.Version1}); err != nil {
 		return fmt.Errorf("write version: %w", err)
 	}
-	c.vers = vers
-	if vers == 0 {
-		c.enc = gob.NewEncoder(c.conn)
-		c.dec = gob.NewDecoder(c.conn)
+	if b[0] < codec.Version1 {
+		return errWireV0
 	}
+	c.negotiated = true
 	return nil
 }
 
@@ -194,36 +164,37 @@ func (c *tcpConn) negotiateLocked(configured int) error {
 // connection closing — a clean shutdown, not a protocol violation.
 var errHandshakeClosed = errors.New("fl: connection closed during handshake")
 
-// negotiateClient performs the client side: propose a version, accept
-// the server's (lower or equal) choice. The server answers lazily, on
-// its first call, so the read blocks until the server speaks; a
-// connection that closes instead reports errHandshakeClosed.
-func negotiateClient(conn net.Conn, proposal int) (int, error) {
-	if _, err := conn.Write([]byte{byte(proposal)}); err != nil {
-		return 0, fmt.Errorf("%w: %v", errHandshakeClosed, err)
+// negotiateClient performs the client side: propose the newest version
+// this build speaks and require the server to answer v1. The server
+// answers lazily, on its first call, so the read blocks until the
+// server speaks; a connection that closes instead reports
+// errHandshakeClosed.
+func negotiateClient(conn net.Conn) error {
+	if _, err := conn.Write([]byte{codec.MaxVersion}); err != nil {
+		return fmt.Errorf("%w: %v", errHandshakeClosed, err)
 	}
 	var b [1]byte
 	if _, err := io.ReadFull(conn, b[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", errHandshakeClosed, err)
+		return fmt.Errorf("%w: %v", errHandshakeClosed, err)
 	}
-	vers := int(b[0])
-	if vers > proposal {
-		return 0, fmt.Errorf("fl: server chose wire version %d above proposal %d", vers, proposal)
+	switch b[0] {
+	case codec.Version1:
+		return nil
+	case 0:
+		return fmt.Errorf("server: %w", errWireV0)
+	default:
+		return fmt.Errorf("fl: server chose wire version %d above proposal %d", b[0], codec.MaxVersion)
 	}
-	return vers, nil
 }
 
 // Addr returns the listener address (useful with ephemeral ports).
 func (t *TCPTransport) Addr() string { return t.listener.Addr().String() }
 
 // Wire reports the transport's configured wire format — the options
-// the Server bills under. Billing is a per-fleet cost model, not an
-// octet count: a connection whose peer negotiated down to v0 still
-// ships gob frames but is billed at the configured tier, just as v0
-// itself bills the PayloadSize estimate rather than gob's actual
-// stream bytes. Mixed-version fleets therefore see configured-tier
-// accounting; uniform fleets (every engine and CLI path) see exact
-// frame lengths under v1.
+// the Server bills under. Requests ship under exactly these options;
+// responses are billed at the server's tier too, which matches the
+// bytes shipped whenever the clients encode under the same tier (every
+// engine and CLI path).
 func (t *TCPTransport) Wire() WireOpts { return t.wire }
 
 // SetCallTimeout installs a per-call deadline (0 disables). Safe to
@@ -256,7 +227,7 @@ func (t *TCPTransport) Call(i int, req Message) (Message, error) {
 	}
 	c := t.conns[i]
 	timeout := t.callTimeout
-	wire := t.wire
+	opts := t.wire.codecOptions()
 	t.mu.Unlock()
 
 	c.mu.Lock()
@@ -272,56 +243,22 @@ func (t *TCPTransport) Call(i int, req Message) (Message, error) {
 		c.markDeadLocked()
 		return Message{}, fmt.Errorf("fl: client %d: set deadline: %v: %w", i, err, ErrClientDead)
 	}
-	if c.vers < 0 {
-		if err := c.negotiateLocked(wire.Version); err != nil {
+	if !c.negotiated {
+		if err := c.negotiateLocked(); err != nil {
 			c.markDeadLocked()
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				return Message{}, fmt.Errorf("fl: negotiate with client %d: %v (%w): %w", i, err, ErrCallTimeout, ErrClientDead)
 			}
-			return Message{}, fmt.Errorf("fl: negotiate with client %d: %v: %w", i, err, ErrClientDead)
+			return Message{}, fmt.Errorf("fl: negotiate with client %d: %w: %w", i, err, ErrClientDead)
 		}
 	}
-	if c.vers >= codec.Version1 {
-		return t.callV1(i, c, req, wire)
-	}
-	return t.callGob(i, c, req)
-}
 
-// callGob performs one call over a v0 (gob envelope) connection;
-// callers hold c.mu.
-func (t *TCPTransport) callGob(i int, c *tcpConn, req Message) (Message, error) {
-	if err := c.enc.Encode(envelope{Msg: req}); err != nil {
-		c.markDeadLocked()
-		return Message{}, fmt.Errorf("fl: send to client %d: %v: %w", i, err, ErrClientDead)
-	}
-	var resp envelope
-	if err := c.dec.Decode(&resp); err != nil {
-		c.markDeadLocked()
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return Message{}, fmt.Errorf("fl: receive from client %d: %v (%w): %w", i, err, ErrCallTimeout, ErrClientDead)
-		}
-		return Message{}, fmt.Errorf("fl: receive from client %d: %v: %w", i, err, ErrClientDead)
-	}
-	if resp.Err != "" {
-		// An application-level error: the stream stays in sync and the
-		// client remains healthy, so this is retryable.
-		return Message{}, fmt.Errorf("fl: client %d error: %s", i, resp.Err)
-	}
-	// gob omits nil maps, so a payload map that was nil (or never
-	// written) on the client decodes as nil here; normalize so both
-	// transports hand the server the same canonical shape.
-	resp.Msg.Normalize()
-	return resp.Msg, nil
-}
-
-// callV1 performs one call over a v1 (codec frame) connection; callers
-// hold c.mu. The response frame is a status byte followed by either a
-// codec frame (statusOK) or an error string (statusErr — an
-// application-level error: the stream stays in sync and the call is
-// retryable).
-func (t *TCPTransport) callV1(i int, c *tcpConn, req Message, wire WireOpts) (Message, error) {
-	if err := writeFrame(c.conn, codec.Encode(req, wire.codecOptions())); err != nil {
+	// The response frame is a status byte followed by either a codec
+	// frame (statusOK) or an error string (statusErr — an
+	// application-level error: the stream stays in sync and the call is
+	// retryable).
+	if err := writeFrame(c.conn, codec.Encode(req, opts)); err != nil {
 		c.markDeadLocked()
 		return Message{}, fmt.Errorf("fl: send to client %d: %v: %w", i, err, ErrClientDead)
 	}
@@ -367,19 +304,11 @@ func (t *TCPTransport) Close() error {
 	return ln.Close()
 }
 
-// ServeTCP connects a client to the server at addr and serves requests
-// until the connection closes or stop is closed, proposing the newest
-// wire version this build speaks (the server may negotiate down to
-// gob) and encoding responses losslessly. It returns nil on a clean
-// shutdown (server closed the connection).
-func ServeTCP(addr string, client Client, stop <-chan struct{}) error {
-	return ServeTCPWire(addr, client, stop, WireOpts{Version: codec.MaxVersion})
-}
-
-// ServeTCPWire is ServeTCP with an explicit wire format: the client
-// proposes wire.Version (so a v0 value forces gob even against a v1
-// server) and, when the negotiated version is ≥ 1, encodes its
-// responses under the given quantization/compression tiers.
+// ServeTCPWire connects a client to the server at addr and serves
+// requests until the connection closes or stop is closed, encoding its
+// responses under the given wire tier. It returns nil on a clean
+// shutdown (server closed the connection) and an error naming wire v0
+// when the server speaks the retired gob format.
 func ServeTCPWire(addr string, client Client, stop <-chan struct{}, wire WireOpts) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -402,47 +331,18 @@ func ServeTCPWire(addr string, client Client, stop <-chan struct{}, wire WireOpt
 			}
 		}()
 	}
-	vers, err := negotiateClient(conn, wire.Version)
-	if err != nil {
+	if err := negotiateClient(conn); err != nil {
 		if errors.Is(err, errHandshakeClosed) {
 			return nil // server closed before speaking: clean shutdown
 		}
 		return err
 	}
-	if vers >= codec.Version1 {
-		return serveV1(conn, client, wire)
-	}
-	return serveGob(conn, client)
+	return serve(conn, client, wire)
 }
 
-// serveGob answers requests over a v0 (gob envelope) stream.
-func serveGob(conn net.Conn, client Client) error {
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	for {
-		var req envelope
-		if err := dec.Decode(&req); err != nil {
-			return nil // connection closed: clean shutdown
-		}
-		// Mirror of the server-side decode normalization: a request whose
-		// payload maps were empty or nil on the server must reach the
-		// client handler in the same canonical shape the in-process
-		// transport delivers.
-		req.Msg.Normalize()
-		resp, derr := Dispatch(client, req.Msg)
-		env := envelope{Msg: resp}
-		if derr != nil {
-			env.Err = derr.Error()
-		}
-		if err := enc.Encode(env); err != nil {
-			return fmt.Errorf("fl: reply: %w", err)
-		}
-	}
-}
-
-// serveV1 answers requests over a v1 (codec frame) stream, encoding
-// responses under the client's own wire tiers.
-func serveV1(conn net.Conn, client Client, wire WireOpts) error {
+// serve answers requests over a codec frame stream, encoding responses
+// under the client's own wire tier.
+func serve(conn net.Conn, client Client, wire WireOpts) error {
 	opts := wire.codecOptions()
 	for {
 		frame, err := readFrame(conn)

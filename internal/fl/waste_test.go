@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"fedforecaster/internal/fl/codec"
 	"fedforecaster/internal/obs"
 )
 
@@ -52,7 +53,7 @@ func (c *captureRecorder) injections() map[string]int {
 // successful logical calls.
 func TestQuorumWasteAccounting(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}}
-	chaos := NewChaos(NewInProc(clients), 7)
+	chaos := NewChaos(NewInProcWire(clients, WireOpts{}), 7)
 	// Client 1 flaps twice before answering; bounded retry masks it.
 	chaos.SetFaults(1, ClientFaults{FailFirst: 2})
 	srv := NewServer(chaos)
@@ -64,6 +65,7 @@ func TestQuorumWasteAccounting(t *testing.T) {
 
 	req := NewMessage("fit/waste")
 	req.Scalars["offset"] = 1 // non-empty payload so waste is non-zero
+	reqSize := int64(codec.EncodedSize(req, codec.Options{}))
 	resps, idx, err := srv.BroadcastQuorum(req, QuorumConfig{Retry: RetryPolicy{MaxRetries: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -79,17 +81,17 @@ func TestQuorumWasteAccounting(t *testing.T) {
 	if stats.WastedCalls != 2 {
 		t.Errorf("WastedCalls = %d, want 2 (two flapped attempts)", stats.WastedCalls)
 	}
-	wantWaste := 2 * req.PayloadSize()
+	wantWaste := 2 * reqSize
 	if stats.WastedBytes != wantWaste {
 		t.Errorf("WastedBytes = %d, want %d (request payload per failed attempt)", stats.WastedBytes, wantWaste)
 	}
-	if stats.BytesDown != 3*req.PayloadSize() {
-		t.Errorf("BytesDown = %d, want %d (successful deliveries only)", stats.BytesDown, 3*req.PayloadSize())
+	if stats.BytesDown != 3*reqSize {
+		t.Errorf("BytesDown = %d, want %d (successful deliveries only)", stats.BytesDown, 3*reqSize)
 	}
 
 	// Sub must carry the waste fields too.
-	delta := srv.Stats().Sub(Stats{WastedCalls: 1, WastedBytes: req.PayloadSize()})
-	if delta.WastedCalls != 1 || delta.WastedBytes != req.PayloadSize() {
+	delta := srv.Stats().Sub(Stats{WastedCalls: 1, WastedBytes: reqSize})
+	if delta.WastedCalls != 1 || delta.WastedBytes != reqSize {
 		t.Errorf("Sub lost waste fields: %+v", delta)
 	}
 
@@ -112,11 +114,11 @@ func TestQuorumWasteAccounting(t *testing.T) {
 	}
 	// Failed attempts bill the request only; the success adds the
 	// response payload.
-	if c1[0].Bytes != req.PayloadSize() {
-		t.Errorf("failed attempt bytes = %d, want request-only %d", c1[0].Bytes, req.PayloadSize())
+	if c1[0].Bytes != reqSize {
+		t.Errorf("failed attempt bytes = %d, want request-only %d", c1[0].Bytes, reqSize)
 	}
-	if c1[2].Bytes <= req.PayloadSize() {
-		t.Errorf("successful attempt bytes = %d, want > request %d (response included)", c1[2].Bytes, req.PayloadSize())
+	if c1[2].Bytes <= reqSize {
+		t.Errorf("successful attempt bytes = %d, want > request %d (response included)", c1[2].Bytes, reqSize)
 	}
 
 	// The chaos layer reported its injections.
@@ -134,13 +136,14 @@ func TestQuorumWasteAccounting(t *testing.T) {
 // one attempt (fail-fast, no retries) and its payload.
 func TestQuorumDeadClientWaste(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}}
-	chaos := NewChaos(NewInProc(clients), 3)
+	chaos := NewChaos(NewInProcWire(clients, WireOpts{}), 3)
 	chaos.Kill(1)
 	srv := NewServer(chaos)
 	defer srv.Close()
 
 	req := NewMessage("fit/dead")
 	req.Scalars["x"] = 1
+	reqSize := int64(codec.EncodedSize(req, codec.Options{}))
 	_, idx, err := srv.BroadcastQuorum(req, QuorumConfig{MinFraction: 0.5, Retry: RetryPolicy{MaxRetries: 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +155,8 @@ func TestQuorumDeadClientWaste(t *testing.T) {
 	if stats.WastedCalls != 1 {
 		t.Errorf("WastedCalls = %d, want 1 (dead clients fail fast)", stats.WastedCalls)
 	}
-	if stats.WastedBytes != req.PayloadSize() {
-		t.Errorf("WastedBytes = %d, want %d", stats.WastedBytes, req.PayloadSize())
+	if stats.WastedBytes != reqSize {
+		t.Errorf("WastedBytes = %d, want %d", stats.WastedBytes, reqSize)
 	}
 }
 

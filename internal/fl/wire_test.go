@@ -1,8 +1,12 @@
 package fl
 
 import (
+	"errors"
+	"io"
 	"math"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,13 +74,40 @@ func equalWireMessages(a, b Message) bool {
 	return reflect.DeepEqual(a.Strings, b.Strings) && reflect.DeepEqual(a.Ints, b.Ints)
 }
 
-// wireMatrixOpts enumerates the codec dimension of the matrix.
+// canonicalMessage returns a copy of m in the form every transport
+// delivers: nil payload maps become empty maps, and zero-length slice
+// values become nil under their (surviving) key.
+func canonicalMessage(m Message) Message {
+	out := NewMessage(m.Kind)
+	for k, v := range m.Scalars {
+		out.Scalars[k] = v
+	}
+	for k, v := range m.Floats {
+		if len(v) == 0 {
+			v = nil
+		}
+		out.Floats[k] = v
+	}
+	for k, v := range m.Strings {
+		out.Strings[k] = v
+	}
+	for k, v := range m.Ints {
+		if len(v) == 0 {
+			v = nil
+		}
+		out.Ints[k] = v
+	}
+	return out
+}
+
+// wireMatrixOpts enumerates the codec dimension of the matrix. The
+// zero value is lossless v1, like an explicit Version 1.
 func wireMatrixOpts() map[string]WireOpts {
 	return map[string]WireOpts{
-		"gob-v0":     {},
+		"zero-value": {},
 		"binary-v1":  {Version: codec.Version1},
-		"v1+quant":   {Version: codec.Version1, Quant: codec.QuantInt8},
-		"v1+quant+z": {Version: codec.Version1, Quant: codec.QuantFloat16, Compress: true},
+		"v1+q8":      {Version: codec.Version1, Quant: codec.QuantInt8},
+		"v1+q16":     {Version: codec.Version1, Quant: codec.QuantFloat16},
 	}
 }
 
@@ -88,8 +119,7 @@ func wireMatrixOpts() map[string]WireOpts {
 // test does not rely on that.
 func checkWireResponse(t *testing.T, label string, sent, got Message, w WireOpts) {
 	t.Helper()
-	want := sent
-	want.Normalize()
+	want := canonicalMessage(sent)
 	if w.Quant == codec.QuantNone {
 		if !equalWireMessages(want, got) {
 			t.Errorf("%s: lossless response diverged\nwant %#v\ngot  %#v", label, want, got)
@@ -182,9 +212,9 @@ func startWireTCP(t *testing.T, server, client WireOpts) *TCPTransport {
 }
 
 // TestWireMatrixEquivalence drives every fixture through
-// {inproc, TCP} × {gob-v0, binary-v1, binary-v1+quant} and asserts the
-// same canonical result in every cell — the PR 4 nil-vs-empty parity
-// guarantee extended across wire formats.
+// {inproc, TCP} × {zero-value, binary-v1, v1+q8, v1+q16} and asserts
+// the same canonical result in every cell — the nil-vs-empty parity
+// guarantee extended across wire tiers.
 func TestWireMatrixEquivalence(t *testing.T) {
 	for name, w := range wireMatrixOpts() {
 		transports := map[string]Transport{
@@ -227,26 +257,24 @@ func TestWireMatrixCrossTransportAgreement(t *testing.T) {
 	}
 }
 
-// TestWireMixedVersions proves the negotiation fallback: any pairing
-// of v0 and v1 endpoints settles on the highest common version and
-// completes calls correctly.
+// TestWireMixedVersions: endpoints with differing tiers, or with the
+// zero-value Version on one side, all settle on v1 and complete calls
+// correctly.
 func TestWireMixedVersions(t *testing.T) {
-	v0 := WireOpts{}
+	zero := WireOpts{}
 	v1 := WireOpts{Version: codec.Version1}
-	v1q := WireOpts{Version: codec.Version1, Quant: codec.QuantInt8, Compress: true}
+	v1q := WireOpts{Version: codec.Version1, Quant: codec.QuantInt8}
 	cases := []struct {
 		name           string
 		server, client WireOpts
 	}{
-		{"v1-server/v0-client", v1, v0},
-		{"v0-server/v1-client", v0, v1},
+		{"v1-server/zero-client", v1, zero},
+		{"zero-server/v1-client", zero, v1},
 		{"v1q-server/v1-client", v1q, v1},
 		{"v1-server/v1q-client", v1, v1q},
-		{"v0-server/v0-client", v0, v0},
 	}
 	fixture := wireFixtures()[1]
-	want := fixture
-	want.Normalize()
+	want := canonicalMessage(fixture)
 	for _, c := range cases {
 		tr := startWireTCP(t, c.server, c.client)
 		got, err := tr.Call(0, fixture)
@@ -261,17 +289,102 @@ func TestWireMixedVersions(t *testing.T) {
 	}
 }
 
-// TestParseWireOpts covers the -wire flag syntax round trip.
+// TestWireV0HandshakeRejected: a peer proposing the retired gob wire
+// (version 0) is rejected promptly — an error naming wire v0, not a
+// gob stream or a call timeout — on whichever end meets it.
+func TestWireV0HandshakeRejected(t *testing.T) {
+	const prompt = 5 * time.Second // well below the 30s call timeout
+
+	t.Run("server", func(t *testing.T) {
+		addrCh := make(chan string, 1)
+		type listenResult struct {
+			tr  *TCPTransport
+			err error
+		}
+		resCh := make(chan listenResult, 1)
+		go func() {
+			tr, err := ListenTCPWire("127.0.0.1:0", 1, 5*time.Second, addrCh, WireOpts{})
+			resCh <- listenResult{tr, err}
+		}()
+		conn, err := net.Dial("tcp", <-addrCh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		res := <-resCh
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		defer res.tr.Close()
+		res.tr.SetCallTimeout(30 * time.Second)
+		if _, err := conn.Write([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = res.tr.Call(0, NewMessage("props/range"))
+		if err == nil || !strings.Contains(err.Error(), "wire v0") {
+			t.Fatalf("v0 proposal: err = %v, want an error naming wire v0", err)
+		}
+		if !errors.Is(err, ErrClientDead) || errors.Is(err, ErrCallTimeout) {
+			t.Errorf("v0 proposal: err = %v, want ErrClientDead without ErrCallTimeout", err)
+		}
+		if d := time.Since(start); d > prompt {
+			t.Errorf("v0 rejection took %v", d)
+		}
+		// The peer hears v1 (so a gob-era client fails its own
+		// handshake), then the connection closes.
+		if err := conn.SetDeadline(time.Now().Add(prompt)); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(conn)
+		if err != nil || len(reply) != 1 || reply[0] != codec.Version1 {
+			t.Errorf("peer read %x (err %v), want the single byte %02x then EOF", reply, err, codec.Version1)
+		}
+	})
+
+	t.Run("client", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		serveErr := make(chan error, 1)
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() { serveErr <- ServeTCPWire(ln.Addr().String(), mirrorClient{}, stop, WireOpts{}) }()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var proposal [1]byte
+		if _, err := io.ReadFull(conn, proposal[:]); err != nil {
+			t.Fatal(err)
+		}
+		if proposal[0] != codec.Version1 {
+			t.Errorf("client proposed version %d, want %d", proposal[0], codec.Version1)
+		}
+		if _, err := conn.Write([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-serveErr:
+			if err == nil || !strings.Contains(err.Error(), "wire v0") {
+				t.Errorf("v0 server: ServeTCPWire = %v, want an error naming wire v0", err)
+			}
+		case <-time.After(prompt):
+			t.Fatal("ServeTCPWire did not reject a v0 server promptly")
+		}
+	})
+}
+
+// TestParseWireOpts covers the -wire flag syntax round trip, and
+// rejects the retired gob/v0 spellings and the +z DEFLATE tier.
 func TestParseWireOpts(t *testing.T) {
 	good := map[string]WireOpts{
-		"gob":      {},
-		"v0":       {},
-		"v1":       {Version: 1},
-		"v1+q8":    {Version: 1, Quant: codec.QuantInt8},
-		"v1+q16":   {Version: 1, Quant: codec.QuantFloat16},
-		"v1+z":     {Version: 1, Compress: true},
-		"v1+q8+z":  {Version: 1, Quant: codec.QuantInt8, Compress: true},
-		"v1+q16+z": {Version: 1, Quant: codec.QuantFloat16, Compress: true},
+		"v1":     {Version: 1},
+		"v1+q8":  {Version: 1, Quant: codec.QuantInt8},
+		"v1+q16": {Version: 1, Quant: codec.QuantFloat16},
 	}
 	for s, want := range good {
 		got, err := ParseWireOpts(s)
@@ -282,25 +395,28 @@ func TestParseWireOpts(t *testing.T) {
 		if got != want {
 			t.Errorf("ParseWireOpts(%q) = %+v, want %+v", s, got, want)
 		}
-		// String renders canonically ("gob" and "v0" both print "gob").
-		canon := s
-		if s == "v0" {
-			canon = "gob"
-		}
-		if got.String() != canon {
+		if got.String() != s {
 			t.Errorf("ParseWireOpts(%q).String() = %q", s, got.String())
 		}
 	}
-	for _, s := range []string{"", "v2", "v1+q7", "gob+z", "v1+", "q8"} {
+	if got := (WireOpts{}).String(); got != "v1" {
+		t.Errorf("zero WireOpts renders %q, want v1", got)
+	}
+	for _, s := range []string{"", "v2", "v1+q7", "v1+", "q8",
+		"gob", "v0", "gob+z", "v1+z", "v1+q8+z", "v1+q16+z"} {
 		if _, err := ParseWireOpts(s); err == nil {
 			t.Errorf("ParseWireOpts(%q) accepted invalid input", s)
 		}
 	}
 }
 
-// TestWireAccounting: a server on a v1 transport bills the exact
-// encoded frame bytes; on v0 (or any Wire-less transport) it keeps the
-// PayloadSize estimate — so pre-codec accounting is untouched.
+// wirelessTransport hides an inner transport's Wire method, modelling
+// a transport that does not report its format.
+type wirelessTransport struct{ Transport }
+
+// TestWireAccounting: a server bills the exact encoded frame bytes of
+// its transport's tier, and a transport that does not report its
+// format is billed at lossless v1.
 func TestWireAccounting(t *testing.T) {
 	req := wireFixtures()[1]
 	for name, w := range wireMatrixOpts() {
@@ -314,24 +430,27 @@ func TestWireAccounting(t *testing.T) {
 		for _, r := range resps {
 			wantUp += w.Size(r)
 		}
-		if w.Version >= codec.Version1 {
-			if exact := int64(codec.EncodedSize(req, codec.Options{Quant: w.Quant, Compress: w.Compress})); w.Size(req) != exact {
-				t.Errorf("%s: Size != EncodedSize (%d != %d)", name, w.Size(req), exact)
-			}
-		} else if w.Size(req) != req.PayloadSize() {
-			t.Errorf("%s: v0 Size != PayloadSize", name)
+		if exact := int64(codec.EncodedSize(req, codec.Options{Quant: w.Quant})); w.Size(req) != exact {
+			t.Errorf("%s: Size != EncodedSize (%d != %d)", name, w.Size(req), exact)
 		}
 		st := srv.Stats()
 		if st.BytesDown != wantDown || st.BytesUp != wantUp {
 			t.Errorf("%s: stats down/up = %d/%d, want %d/%d", name, st.BytesDown, st.BytesUp, wantDown, wantUp)
 		}
 	}
+	srv := NewServer(wirelessTransport{NewInProcWire([]Client{mirrorClient{}}, WireOpts{})})
+	if _, err := srv.Call(0, req); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := srv.Stats().BytesDown, int64(codec.EncodedSize(req, codec.Options{})); got != want {
+		t.Errorf("Wire-less transport billed %d bytes down, want lossless v1 %d", got, want)
+	}
 }
 
 // TestChaosWireDelegation: wrapping a wire-aware transport in chaos
 // keeps the server's byte accounting identical.
 func TestChaosWireDelegation(t *testing.T) {
-	w := WireOpts{Version: codec.Version1, Compress: true}
+	w := WireOpts{Version: codec.Version1, Quant: codec.QuantFloat16}
 	inner := NewInProcWire([]Client{mirrorClient{}}, w)
 	chaos := NewChaos(inner, 1)
 	if got := chaos.Wire(); got != w {
@@ -345,9 +464,9 @@ func TestChaosWireDelegation(t *testing.T) {
 	if st := srv.Stats(); st.BytesDown != w.Size(req) {
 		t.Errorf("chaos-wrapped BytesDown = %d, want %d", st.BytesDown, w.Size(req))
 	}
-	// An inner transport with default (v0) wire degrades to v0
-	// accounting through the chaos wrapper too.
-	if got := NewChaos(NewInProc([]Client{mirrorClient{}}), 1).Wire(); got != (WireOpts{}) {
-		t.Errorf("v0 inner reported %+v", got)
+	// An inner transport that does not report its format degrades to
+	// lossless v1 accounting through the chaos wrapper too.
+	if got := NewChaos(wirelessTransport{inner}, 1).Wire(); got != (WireOpts{}) {
+		t.Errorf("Wire-less inner reported %+v", got)
 	}
 }

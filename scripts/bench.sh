@@ -4,11 +4,11 @@
 #
 # BenchmarkEngineRounds runs a full seeded engine run at batch sizes
 # 1/4/8 and reports, per q: wall-clock ns/op, evaluation rounds,
-# total federated rounds, and estimated payload bytes both ways
+# total federated rounds, and exact codec v1 frame bytes both ways
 # (Server.Stats). BenchmarkEngineWire repeats the q=8 workload across
-# wire formats (gob baseline, lossless binary v1 ± flate, quantized
-# tiers), so the bytes_down/bytes_up reduction of the v1 codec is
-# tracked per commit. BenchmarkRecorderOverhead runs the same workload
+# the wire tiers (lossless v1, v1+q8, v1+q16), so the
+# bytes_down/bytes_up reduction of the quantized tiers is tracked per
+# commit. BenchmarkRecorderOverhead runs the same workload
 # at q=4 with telemetry off (nil recorder), with the Prometheus
 # aggregator attached, and with a metrics+JSONL fan-out, so the
 # telemetry tax stays visible next to the protocol numbers.
@@ -24,7 +24,7 @@
 #
 # The JSON is one object with four lists:
 #   {"engine_rounds": [...one object per q...],
-#    "wire_formats": [...one object per wire format, all at q=8...],
+#    "wire_formats": [...one object per wire tier, all at q=8...],
 #    "recorder_overhead": [...one object per recorder mode...],
 #    "pipeline_dag": [...one object per graph shape...]}
 #
@@ -35,7 +35,8 @@
 #                                  # file and fail (exit 1, offending rows
 #                                  # printed) when any section's ns_per_op
 #                                  # or allocs_per_op regressed >15% vs the
-#                                  # committed BENCH_engine.json
+#                                  # committed BENCH_engine.json, or a
+#                                  # committed row was not measured
 #   NS_TOL=0 scripts/bench.sh -gate    # gate allocs only (CI: wall-clock
 #   ALLOC_TOL=0.15                     # is too noisy on shared runners)
 set -euo pipefail
